@@ -13,8 +13,11 @@
 //     workers the frontier separates them by orders of magnitude.
 //  2. Queue x backend matrix — one real training experiment per
 //     {event queue, execution backend} pair, wall clock measured and results
-//     verified bit-identical across all twelve runs (the queue and the
+//     verified bit-identical across all eight runs (the queue and the
 //     backend are real-machine choices only; virtual results never move).
+//     Serial cells run at threads = 1, async cells at threads = max(2,
+//     cores); each cell records the backend that actually ran, and the bench
+//     fails if it is not the one requested.
 //  3. Hierarchical gossip at scale — 10^5+ workers on the
 //     clusters-of-clusters topology with the O(1)-memory hierarchical link
 //     model, each worker gossiping rounds to its neighbors through the
@@ -35,6 +38,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algos/registry.h"
@@ -126,7 +130,8 @@ FrontierCell MeasureQueueFrontier(int workers, net::EventQueueKind kind,
 
 struct MatrixCell {
   net::EventQueueKind queue = net::EventQueueKind::kSortedVector;
-  core::ExecutionBackendKind backend = core::ExecutionBackendKind::kSerial;
+  std::string backend;  // RunResult::backend: the backend that actually ran
+  int threads = 1;
   double wall_seconds = 0.0;
   double virtual_seconds = 0.0;
   bool bit_identical = true;
@@ -147,28 +152,30 @@ void CheckBitIdentical(const std::string& label, const core::RunResult& a,
 
 StatusOr<std::vector<MatrixCell>> RunQueueBackendMatrix(std::ostream& os) {
   core::ExperimentConfig config = bench::PaperBaseConfig();
-  config.max_epochs = 8;  // the matrix is 12 runs; keep full mode in minutes
+  config.max_epochs = 8;  // the matrix is 8 runs; keep full mode in minutes
   bench::MaybeApplySmoke(config);
-  config.threads = 1;
   config.shards = 1;
+  // Async cells get a real pool even on a single-core machine, so the
+  // pooled path is what they measure.
+  const int pooled_threads =
+      std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
   std::vector<MatrixCell> cells;
   const core::RunResult* reference = nullptr;
   std::vector<core::RunResult> results;
-  results.reserve(12);
-  TablePrinter table({"queue", "backend", "wall_s", "virtual_s", "identical"});
+  results.reserve(8);
+  TablePrinter table(
+      {"queue", "backend", "threads", "wall_s", "virtual_s", "identical"});
   for (const net::EventQueueKind queue :
        {net::EventQueueKind::kSortedVector, net::EventQueueKind::kBinaryHeap,
         net::EventQueueKind::kCalendar, net::EventQueueKind::kPairingHeap}) {
     for (const core::ExecutionBackendKind backend :
          {core::ExecutionBackendKind::kSerial,
-          core::ExecutionBackendKind::kSpeculative,
           core::ExecutionBackendKind::kAsyncPipeline}) {
       core::ExperimentConfig cell_config = config;
       cell_config.event_queue = queue;
       cell_config.backend = backend;
-      if (backend == core::ExecutionBackendKind::kAsyncPipeline) {
-        cell_config.reorder_window = 4;
-      }
+      cell_config.threads =
+          backend == core::ExecutionBackendKind::kSerial ? 1 : pooled_threads;
       NETMAX_ASSIGN_OR_RETURN(const auto algorithm,
                               algos::MakeAlgorithm("netmax"));
       const auto start = Clock::now();
@@ -184,19 +191,26 @@ StatusOr<std::vector<MatrixCell>> RunQueueBackendMatrix(std::ostream& os) {
       if (reference == nullptr) reference = &results.front();
       const std::string label = std::string(net::EventQueueKindName(queue)) +
                                 "/" + std::string(run.backend);
+      if (run.backend != core::ExecutionBackendKindName(backend)) {
+        return InternalError(
+            label + ": requested backend " +
+            std::string(core::ExecutionBackendKindName(backend)) +
+            " but the run reports " + run.backend);
+      }
       CheckBitIdentical(label, *reference, run);
       MatrixCell cell;
       cell.queue = queue;
-      cell.backend = backend;
+      cell.backend = run.backend;
+      cell.threads = cell_config.threads;
       cell.wall_seconds = wall;
       cell.virtual_seconds = run.total_virtual_seconds;
       cells.push_back(cell);
-      table.AddRow({std::string(net::EventQueueKindName(queue)),
-                    std::string(run.backend), Fmt(wall, 3),
+      table.AddRow({std::string(net::EventQueueKindName(queue)), run.backend,
+                    std::to_string(cell.threads), Fmt(wall, 3),
                     Fmt(run.total_virtual_seconds, 1), "yes"});
     }
   }
-  os << "\n== Queue x backend matrix (netmax, 8 workers; all twelve runs "
+  os << "\n== Queue x backend matrix (netmax, 8 workers; all eight runs "
         "verified bit-identical) ==\n";
   table.Print(os);
   table.PrintCsv(os, "Queue x backend matrix");
@@ -303,9 +317,8 @@ std::string JsonReport(bool smoke, const std::vector<FrontierCell>& frontier,
   for (size_t i = 0; i < matrix.size(); ++i) {
     const MatrixCell& c = matrix[i];
     os << "    {\"queue\": \"" << net::EventQueueKindName(c.queue)
-       << "\", \"backend\": \""
-       << core::ExecutionBackendKindName(c.backend)
-       << "\", \"wall_seconds\": " << Fmt(c.wall_seconds, 3)
+       << "\", \"backend\": \"" << c.backend << "\", \"threads\": " << c.threads
+       << ", \"wall_seconds\": " << Fmt(c.wall_seconds, 3)
        << ", \"virtual_seconds\": " << Fmt(c.virtual_seconds, 1)
        << ", \"bit_identical\": true}"
        << (i + 1 < matrix.size() ? "," : "") << "\n";

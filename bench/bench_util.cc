@@ -31,9 +31,8 @@ int threads_override = -1;
 int shards_override = -1;
 bool backend_override_set = false;
 core::ExecutionBackendKind backend_override =
-    core::ExecutionBackendKind::kSpeculative;
+    core::ExecutionBackendKind::kAsyncPipeline;
 int reorder_window_override = -1;
-int procs_override = -1;
 double checkpoint_at_override = 0.0;
 double checkpoint_every_override = 0.0;
 std::string checkpoint_path_override;
@@ -79,12 +78,10 @@ void PrintUsage(std::ostream& os, const char* binary) {
         "core, 1 = serial; results are bit-identical)\n"
      << "  --shards=N           intra-worker gradient shard tasks (0 = auto "
         "from the thread budget; results are bit-identical)\n"
-     << "  --backend=K          execution backend: serial | speculative | "
-        "async | process (results are bit-identical)\n"
+     << "  --backend=K          execution backend: async (default) | "
+        "serial (results are bit-identical)\n"
      << "  --reorder-window=N   async backend in-flight compute bound "
-        "(0 = synchronous; results are bit-identical)\n"
-     << "  --procs=N            process backend's forked gradient-compute "
-        "children (0 = one per core; results are bit-identical)\n"
+        "(0 = auto, 2 x threads; results are bit-identical)\n"
      << "  --checkpoint-at=S    write a checkpoint S virtual seconds into "
         "every run (requires --checkpoint-path)\n"
      << "  --checkpoint-path=P  checkpoint file prefix; each run writes "
@@ -118,7 +115,6 @@ void PrintUsage(std::ostream& os, const char* binary) {
      << "  NETMAX_SHARDS=N           same as --shards=N\n"
      << "  NETMAX_BACKEND=K          same as --backend=K\n"
      << "  NETMAX_REORDER_WINDOW=N   same as --reorder-window=N\n"
-     << "  NETMAX_PROCS=N            same as --procs=N\n"
      << "  NETMAX_FAULTS=SPEC        same as --faults=SPEC\n"
      << "  NETMAX_PEER_POLICY=P      same as --peer-policy=P\n"
      << "  NETMAX_CHECKPOINT_EVERY=S same as --checkpoint-every=S\n"
@@ -149,7 +145,7 @@ StatusOr<core::ExecutionBackendKind> ParseBackend(const std::string& flag_text,
   if (!core::ParseExecutionBackendKind(value, &kind)) {
     return InvalidArgumentError(
         "bad flag value: " + flag_text +
-        " (expected serial, speculative, async, or process)");
+        " (expected serial or async)");
   }
   return kind;
 }
@@ -282,7 +278,6 @@ void ApplyExecutionOverrides(core::ExperimentConfig& config,
   if (reorder_window_override >= 0) {
     config.reorder_window = reorder_window_override;
   }
-  if (procs_override >= 0) config.procs = procs_override;
   if (event_queue_override_set) config.event_queue = event_queue_override;
   if (topology_override_set) config.topology = topology_override;
   // The worker override must land before a seed-derived fault schedule is
@@ -349,7 +344,6 @@ StatusOr<bool> InitBench(int argc, char** argv) {
   shards_override = -1;
   backend_override_set = false;
   reorder_window_override = -1;
-  procs_override = -1;
   checkpoint_at_override = 0.0;
   checkpoint_every_override = 0.0;
   checkpoint_path_override.clear();
@@ -402,12 +396,6 @@ StatusOr<bool> InitBench(int argc, char** argv) {
         reorder_window_override,
         ParseFlagValue(std::string("NETMAX_REORDER_WINDOW=") + env_window,
                        env_window));
-  }
-  const char* env_procs = std::getenv("NETMAX_PROCS");
-  if (env_procs != nullptr) {
-    NETMAX_ASSIGN_OR_RETURN(
-        procs_override,
-        ParseFlagValue(std::string("NETMAX_PROCS=") + env_procs, env_procs));
   }
   const char* env_faults = std::getenv("NETMAX_FAULTS");
   if (env_faults != nullptr) {
@@ -467,10 +455,6 @@ StatusOr<bool> InitBench(int argc, char** argv) {
       NETMAX_ASSIGN_OR_RETURN(
           reorder_window_override,
           ParseFlagValue(arg, std::string_view(arg).substr(17)));
-    } else if (arg.rfind("--procs=", 0) == 0) {
-      NETMAX_ASSIGN_OR_RETURN(
-          procs_override,
-          ParseFlagValue(arg, std::string_view(arg).substr(8)));
     } else if (arg.rfind("--checkpoint-at=", 0) == 0) {
       NETMAX_ASSIGN_OR_RETURN(
           checkpoint_at_override,
@@ -544,8 +528,6 @@ int ThreadsOverride() { return threads_override; }
 int ShardsOverride() { return shards_override; }
 
 int ReorderWindowOverride() { return reorder_window_override; }
-
-int ProcsOverride() { return procs_override; }
 
 int WorkersOverride() { return workers_override; }
 
@@ -770,24 +752,10 @@ void PrintExecutionDiagnostics(std::ostream& os,
       break;
     }
   }
-  // Process-backend columns likewise appear only when some run forked
-  // children that died or had leaf ranges re-dispatched — healthy process
-  // runs (and the thread backends, always) keep the pre-process table shape.
-  bool any_process = false;
-  for (const NamedResult& entry : results) {
-    if (entry.result.process_child_deaths != 0 ||
-        entry.result.process_ranges_redispatched != 0) {
-      any_process = true;
-      break;
-    }
-  }
   std::vector<std::string> header = {"run",          "backend",
                                      "batches",      "speculated",
                                      "redispatched", "recomputed",
                                      "stalls",       "backpressure"};
-  if (any_process) {
-    header.insert(header.end(), {"child_deaths", "ranges_redisp"});
-  }
   if (any_faults) {
     header.insert(header.end(),
                   {"resizes", "faults", "degraded", "timeouts"});
@@ -806,11 +774,6 @@ void PrintExecutionDiagnostics(std::ostream& os,
                                     std::to_string(r.computes_recomputed),
                                     std::to_string(r.window_stalls),
                                     std::to_string(r.window_backpressure)};
-    if (any_process) {
-      row.insert(row.end(),
-                 {std::to_string(r.process_child_deaths),
-                  std::to_string(r.process_ranges_redispatched)});
-    }
     if (any_faults) {
       row.insert(row.end(), {std::to_string(r.window_resizes),
                              std::to_string(r.faults_injected),

@@ -34,15 +34,12 @@ namespace netmax::bench {
 //                        ExperimentConfig::shards; 0 = auto from the per-run
 //                        thread budget, results are bit-identical for any
 //                        value).
-//   --backend=K          execution backend: serial | speculative | async |
-//                        process (overrides ExperimentConfig::backend;
-//                        results are bit-identical for every backend).
+//   --backend=K          execution backend: async | serial (overrides
+//                        ExperimentConfig::backend; results are
+//                        bit-identical for both).
 //   --reorder-window=N   async backend's in-flight compute bound (overrides
-//                        ExperimentConfig::reorder_window; 0 = synchronous).
-//   --procs=N            process backend's forked gradient-compute children
-//                        (overrides ExperimentConfig::procs; 0 = one per
-//                        hardware core; results are bit-identical for any
-//                        value).
+//                        ExperimentConfig::reorder_window; 0 = auto, two
+//                        per thread).
 //   --checkpoint-at=S    arm a checkpoint S virtual seconds into every run
 //                        (overrides ExperimentConfig::checkpoint_at_seconds;
 //                        pair with --checkpoint-path).
@@ -128,12 +125,9 @@ int ShardsOverride();
 
 // The --reorder-window/NETMAX_REORDER_WINDOW override, or -1 when unset.
 // (The --backend override has no accessor: benches that run experiments by
-// hand pin their backends per leg — bench_scale32 compares all three — and
+// hand pin their backends per leg — bench_scale32 compares both — and
 // RunAlgorithms/RunConfigs apply the override internally.)
 int ReorderWindowOverride();
-
-// The --procs/NETMAX_PROCS override, or -1 when unset.
-int ProcsOverride();
 
 // The --workers/NETMAX_WORKERS override, or -1 when unset.
 int WorkersOverride();
@@ -199,8 +193,8 @@ void PrintSpeedups(std::ostream& os, const std::string& title,
 void PrintEpochCostSplit(std::ostream& os, const std::string& title,
                          const std::vector<NamedResult>& results);
 
-// Prints the execution-backend health table for `results`: backend, frontier
-// or window batches, speculated / re-dispatched / inline-recomputed compute
+// Prints the execution-backend health table for `results`: backend, window
+// batches, speculated / re-dispatched / inline-recomputed compute
 // halves, and the async window's stall/backpressure counters. When any run
 // reports fault or adaptive-window activity (window_resizes,
 // faults_injected, rounds_degraded, peers_timed_out), four extra columns

@@ -3,9 +3,9 @@
 
 // Minimal logging and invariant-checking facilities.
 //
-// The project does not use C++ exceptions (see DESIGN.md); programmer errors
-// and violated invariants abort the process through NETMAX_CHECK, while
-// recoverable errors travel through Status/StatusOr (see common/status.h).
+// The project does not use C++ exceptions: programmer errors and violated
+// invariants abort the process through NETMAX_CHECK, while recoverable
+// errors travel through Status/StatusOr (see common/status.h).
 //
 // Which is which, as a policy:
 //  * NETMAX_CHECK guards conditions no input can trigger — contract

@@ -70,13 +70,13 @@ void ParallelFor(int num_threads,
 //
 // Nesting on the same pool is safe — a pool task may itself call ParallelFor
 // (the event simulator's sharded gradient evaluation does exactly that,
-// inside frontier compute halves and second-pass re-dispatches): caller
-// participation guarantees progress with every helper queued behind a busy
-// pool, and the wait can only be on indices claimed by threads actively
-// executing them. The one requirement is that `fn` never blocks on pool work
-// other than a nested ParallelFor of its own — a task that waits on an
-// unsubmitted/unclaimed future would reintroduce the deadlock the
-// participation rule removes.
+// inside window compute halves and re-dispatches): caller participation
+// guarantees progress with every helper queued behind a busy pool, and the
+// wait can only be on indices claimed by threads actively executing them.
+// The one requirement is that `fn` never blocks on pool work other than a
+// nested ParallelFor of its own — a task that waits on an unsubmitted or
+// unclaimed future would reintroduce the deadlock the participation rule
+// removes.
 void ParallelFor(ThreadPool& pool, int n, const std::function<void(int)>& fn);
 
 }  // namespace netmax

@@ -8,36 +8,25 @@
 // depend on core); everything that picks or implements a strategy lives
 // here.
 //
-// Four strategies, all bit-identical to each other by the soundness
-// contract in net/event_sim.h:
+// Two strategies, bit-identical to each other by the soundness contract in
+// net/event_sim.h:
 //
 //  * SerialBackend — every event runs inline at its turn on the simulator
-//    thread. The reference semantics; also what every other backend degrades
+//    thread. The reference semantics; also what the pooled backend degrades
 //    to without a pool.
-//  * SpeculativeBackend — the PR 3/4 frontier machinery: collect the longest
-//    prefix of pending compute events with pairwise-distinct worker keys,
-//    evaluate them concurrently on the pool behind a barrier, then drain the
-//    whole batch in order. Invalidated speculations are re-dispatched onto
-//    the pool in a second pass instead of recomputing inline.
-//  * AsyncPipelineBackend — no barrier: compute halves stream through a
-//    bounded reorder window (`reorder_window` in-flight evaluations, 0 =
-//    synchronous). The commit drain waits only for the entry at the head of
-//    the window, never for the slowest in-flight compute; dispatch applies
-//    backpressure when the window fills, and NotifyStateWrite invalidation
-//    covers every window-resident evaluation (in-flight ones are waited out
-//    before the caller's write, then re-dispatched).
-//  * ProcessPoolBackend — fork + MAP_SHARED (core/process_backend.h):
-//    serial event semantics, but each batch-gradient compute half fans its
-//    leaf ranges out to forked child processes over shared memory. Built by
-//    the factory below like the others, but attached to its experiment by
-//    the harness (the fork must happen after the worker slab is final).
+//  * AsyncPipelineBackend — compute halves stream through a bounded reorder
+//    window of in-flight evaluations on the pool. The commit drain waits
+//    only for the entry at the head of the window, never for the slowest
+//    in-flight compute; dispatch applies backpressure when the window fills,
+//    and NotifyStateWrite invalidation covers every window-resident
+//    evaluation (in-flight ones are waited out before the caller's write,
+//    then re-dispatched).
 
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/event_sim.h"
@@ -54,14 +43,11 @@ using net::ExecutionStats;
 
 enum class ExecutionBackendKind {
   kSerial,
-  kSpeculative,    // default: today's frontier speculation + re-dispatch
-  kAsyncPipeline,  // bounded-reorder-window commit pipeline
-  kProcessPool,    // fork + MAP_SHARED leaf waves (process_backend.h)
+  kAsyncPipeline,  // default: bounded-reorder-window commit pipeline
 };
 
-// Strict parse of a --backend / NETMAX_BACKEND value ("serial",
-// "speculative", "async", "process"); returns false on anything else,
-// leaving *kind untouched.
+// Strict parse of a --backend / NETMAX_BACKEND value ("serial", "async");
+// returns false on anything else, leaving *kind untouched.
 bool ParseExecutionBackendKind(std::string_view text,
                                ExecutionBackendKind* kind);
 
@@ -69,14 +55,11 @@ bool ParseExecutionBackendKind(std::string_view text,
 std::string_view ExecutionBackendKindName(ExecutionBackendKind kind);
 
 // Builds the backend for one simulator run. `pool` is borrowed and must
-// outlive the backend; with a null pool the THREAD-pooled kinds degrade to
-// SerialBackend (there is nothing to overlap with) — kProcessPool does not:
-// its parallelism is forked processes, so it never wants a pool and is
-// returned un-attached (the harness calls ProcessPoolBackend::Attach once
-// the state the children must inherit is final). `reorder_window` is the
-// async backend's in-flight bound and `adaptive_window` lets the async
+// outlive the backend; with a null pool every kind degrades to SerialBackend
+// (there is nothing to overlap with). `reorder_window` is the async
+// backend's in-flight bound (0 = auto) and `adaptive_window` lets the async
 // backend re-size that bound at runtime from its own stall/backpressure
-// counters; both are ignored by the other kinds.
+// counters; both are ignored by the serial kind.
 std::unique_ptr<ExecutionBackend> MakeExecutionBackend(
     ExecutionBackendKind kind, ThreadPool* pool, int reorder_window,
     bool adaptive_window = false);
@@ -91,70 +74,14 @@ class SerialBackend : public ExecutionBackend {
   void OnStateWrite(net::EventSimulator& sim, int worker_key) override;
 };
 
-// Frontier speculation with a barrier (the PR 3/4 machinery): at most one
-// compute half per distinct worker key joins a parallel batch, the batch is
-// evaluated to completion on the pool, then drained in order. A same-key
-// duplicate ends the frontier scan, so adversarial interleavings degrade to
-// serial order.
-class SpeculativeBackend : public ExecutionBackend {
- public:
-  explicit SpeculativeBackend(ThreadPool* pool);
-
-  std::string_view name() const override { return "speculative"; }
-  void Dispatch(net::EventSimulator& sim) override;
-  int64_t DrainCommits(net::EventSimulator& sim) override;
-  void OnStateWrite(net::EventSimulator& sim, int worker_key) override;
-
- protected:
-  void OnHalt(net::EventSimulator& sim) override;
-
- private:
-  // One frontier member, evaluated by the Dispatch barrier. `value` is ready
-  // once Dispatch returns; invalidation replaces it through `redispatch`.
-  struct Speculation {
-    int64_t sequence = 0;
-    double time = 0.0;
-    net::EventSimulator::ComputeFn compute;  // copy, for re-dispatch
-    double value = 0.0;
-  };
-  // One invalidated compute half re-dispatched onto the pool for the second
-  // speculation pass. Heap-allocated so the pooled task's writes target a
-  // stable address; `done` orders those writes before any read of `value`
-  // (and before any state write by a second invalidator).
-  struct Redispatch {
-    double value = 0.0;
-    bool invalidated = false;  // a later write dirtied the key again
-    std::future<void> done;
-  };
-
-  // SpeculationProvider body: commits the batch value for (sequence, key),
-  // routing invalidated keys through their re-dispatch entry.
-  bool ProvideValue(int64_t sequence, int worker_key, double* value);
-  // Submits the second-pass recomputes queued by OnStateWrite during the
-  // handler that just returned, in (time, sequence) order of their events.
-  void FlushRedispatches();
-
-  ThreadPool* pool_;
-  // Speculations of the current batch awaiting their turn, by worker key
-  // (frontier keys are pairwise distinct). Drain erases an entry when its
-  // event commits.
-  std::unordered_map<int, Speculation> inflight_;
-  // Keys whose speculation a commit since the batch formed invalidated.
-  std::unordered_set<int> dirty_keys_;
-  // Second-pass state: keys queued by the current handler (flushed right
-  // after it returns) and the in-flight re-dispatches by key.
-  std::vector<int> pending_redispatch_keys_;
-  std::unordered_map<int, std::unique_ptr<Redispatch>> redispatches_;
-};
-
 // Bounded-reorder commit pipeline: up to `reorder_window` compute halves are
 // in flight on the pool at once, entering in (time, sequence) order and
 // leaving at their commit. There is no batch barrier — the drain waits only
 // for the head entry's own future, so one slow compute never stalls the
 // commits (or re-dispatches) of everything behind it; it only occupies one
-// window slot. reorder_window == 0 means synchronous: nothing is dispatched
-// ahead and every compute runs inline, which makes the backend equivalent to
-// SerialBackend while keeping its name and counters.
+// window slot. reorder_window == 0 means auto: two in-flight evaluations per
+// thread of the run's budget (the pool's workers plus the simulator thread),
+// so every thread has a queued compute while a head-of-window wait is served.
 //
 // With `adaptive_window` set, the backend consumes its own diagnostics to
 // auto-size the window under straggler load: sustained backpressure (runnable

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <thread>
 
-#include "core/process_backend.h"
 #include "linalg/vector_ops.h"
 #include "ml/mlp.h"
 #include "ml/sharding.h"
@@ -113,7 +112,6 @@ Status ExperimentConfig::Validate() const {
   if (reorder_window < 0) {
     return InvalidArgumentError("reorder_window < 0");
   }
-  if (procs < 0) return InvalidArgumentError("procs < 0");
   if (checkpoint_at_seconds > 0.0 && checkpoint_path.empty() &&
       checkpoint_sink == nullptr) {
     return InvalidArgumentError(
@@ -166,12 +164,6 @@ Status ExperimentHarness::Init() {
     const unsigned hw = std::thread::hardware_concurrency();
     threads_ = hw == 0 ? 1 : static_cast<int>(hw);
   }
-  // The process backend replaces the thread pool with forked children: fork
-  // from a multi-threaded parent only copies the forking thread, so a child
-  // inheriting live pool threads would see their mutexes frozen mid-flight.
-  // Forcing threads to 1 keeps the parent single-threaded for the fork —
-  // results are unchanged either way (threads never affect bits).
-  if (config_.backend == ExecutionBackendKind::kProcessPool) threads_ = 1;
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_ - 1);
   // Execution backend: how compute halves overlap the ordered commit drain.
   // Without a pool every kind degrades to serial dispatch; either way the
@@ -184,7 +176,7 @@ Status ExperimentHarness::Init() {
   // execution choice — every kind pops the identical (time, sequence) stream.
   sim_.ReplaceQueue(net::MakeEventQueue(config_.event_queue));
   // Intra-worker sharding bound: auto (0) shards only the cores left over
-  // after the distinct-worker frontier has one thread per worker, so
+  // after the distinct-worker window has one thread per worker, so
   // paper-scale runs (workers >= cores) stay unsharded while wide-model
   // scale-up runs (cores > workers) split each batch. Purely an execution
   // choice — results are bit-identical for any value (ml/sharding.h).
@@ -330,37 +322,6 @@ Status ExperimentHarness::Init() {
   compute_factor_.assign(static_cast<size_t>(config_.num_workers), 1.0);
   if (!config_.faults.empty() && !restore_requested()) ScheduleFaults();
 
-  // Process backend: fork the gradient-compute children LAST, so they inherit
-  // the finished worker slab (models, shards, workspaces) via copy-on-write.
-  // The eval callback runs inside a child (or inline in the parent under the
-  // sanitizer/inline mode): it loads the wave's parameter snapshot from
-  // shared memory into the inherited model — the child's copy went stale the
-  // moment the parent committed an optimizer step — and evaluates the leaf
-  // range with the model's own fixed-leaf kernel, writing unscaled sums
-  // straight into the shared-memory slots.
-  if (config_.backend == ExecutionBackendKind::kProcessPool) {
-    auto* process = static_cast<ProcessPoolBackend*>(backend_.get());
-    ProcessPoolOptions options;
-    options.procs = config_.procs;
-    options.width = workers_.front().model->num_parameters();
-    for (const WorkerRuntime& worker : workers_) {
-      options.max_batch = std::max(options.max_batch, worker.batch_size);
-    }
-    NETMAX_RETURN_IF_ERROR(process->Attach(
-        options,
-        [this](int w, std::span<const double> params,
-               std::span<const int> indices, int leaf_lo, int leaf_hi,
-               std::span<double> loss_sums, std::span<double> gradient_sums) {
-          WorkerRuntime& worker = workers_[static_cast<size_t>(w)];
-          const std::span<double> dest = worker.model->parameters();
-          std::copy(params.begin(), params.end(), dest.begin());
-          worker.model->EvalGradientLeaves(worker.shard, indices, leaf_lo,
-                                           leaf_hi, loss_sums, gradient_sums,
-                                           worker.workspace);
-        }));
-    process_backend_ = process;
-  }
-
   initialized_ = true;
   return Status::Ok();
 }
@@ -450,11 +411,6 @@ void ExperimentHarness::SampleBatch(int w) {
 
 double ExperimentHarness::EvalBatchGradient(int w) {
   WorkerRuntime& worker = workers_[static_cast<size_t>(w)];
-  if (process_backend_ != nullptr) {
-    return process_backend_->LossAndGradient(w, worker.model->parameters(),
-                                             worker.batch_indices,
-                                             worker.gradient);
-  }
   return ml::ShardedLossAndGradient(*worker.model, worker.shard,
                                     worker.batch_indices, worker.gradient,
                                     worker.workspace, pool_.get(), shards_);
@@ -571,8 +527,6 @@ RunResult ExperimentHarness::Finalize() {
   result.window_stalls = stats.window_stalls;
   result.window_backpressure = stats.window_backpressure;
   result.window_resizes = stats.window_resizes;
-  result.process_child_deaths = stats.process_child_deaths;
-  result.process_ranges_redispatched = stats.process_ranges_redispatched;
   result.faults_injected = faults_injected_;
   result.rounds_degraded = rounds_degraded_;
   result.peers_timed_out = peers_timed_out_;

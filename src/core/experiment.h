@@ -37,7 +37,6 @@
 
 namespace netmax::core {
 
-class ProcessPoolBackend;  // core/process_backend.h
 
 // How an engine treats a neighbor that is dead (left/crashed) or stalled
 // when a round needs it (net/fault_schedule.h faults):
@@ -170,7 +169,7 @@ struct ExperimentConfig {
   // core; 1 = fully serial dispatch through the same two-phase code path.
   int threads = 0;
   // Intra-worker gradient sharding: upper bound on concurrent shard tasks
-  // per EvalBatchGradient, nested inside the distinct-worker frontier.
+  // per EvalBatchGradient, nested inside the distinct-worker reorder window.
   // 0 = auto (ceil(threads / num_workers), so sharding kicks in exactly when
   // there are more cores than workers); 1 = one serial shard task. Never
   // affects results: the gradient is defined over a fixed leaf decomposition
@@ -178,12 +177,11 @@ struct ExperimentConfig {
   // the whole {threads, shards} grid.
   int shards = 0;
   // Execution backend for the simulator's compute halves
-  // (core/execution_backend.h): serial dispatch, frontier speculation with a
-  // barrier (default, today's engine), or the async bounded-reorder commit
-  // pipeline. With threads <= 1 there is no pool and every kind degrades to
-  // serial. Like threads/shards, purely an execution choice — RunResult is
-  // bit-identical for every backend.
-  ExecutionBackendKind backend = ExecutionBackendKind::kSpeculative;
+  // (core/execution_backend.h): serial dispatch or the async bounded-reorder
+  // commit pipeline (default). With threads <= 1 there is no pool and both
+  // kinds run serially. Like threads/shards, purely an execution choice —
+  // RunResult is bit-identical for every backend.
+  ExecutionBackendKind backend = ExecutionBackendKind::kAsyncPipeline;
   // Priority-queue implementation behind the simulator (net/event_queue.h).
   // Purely an execution choice: (time, sequence) is a strict total order, so
   // RunResult is bit-identical for every kind. The sorted-vector default is
@@ -191,20 +189,14 @@ struct ExperimentConfig {
   // scale-frontier choice at 10^5+ workers (see bench_scale_frontier).
   net::EventQueueKind event_queue = net::EventQueueKind::kSortedVector;
   // Async backend only: bound on in-flight compute evaluations (the reorder
-  // window). 0 (default) = synchronous — nothing is evaluated ahead of its
-  // turn. Ignored by the other backends.
+  // window). 0 (default) = auto, two per thread (2 x threads). Ignored by the
+  // serial backend.
   int reorder_window = 0;
   // Async backend only: let the backend re-size the reorder window at
   // runtime from its own stall/backpressure/re-dispatch counters (useful
   // under straggler faults, where the profitable window depth changes
   // mid-run). Still bit-identical — window depth never affects results.
   bool adaptive_reorder_window = false;
-  // Process backend only (--procs / NETMAX_PROCS): forked gradient-compute
-  // children. 0 = one per hardware core. Like threads/shards, purely an
-  // execution choice — RunResult is bit-identical for every value. The
-  // harness forces threads to 1 under this backend (fork safety: a child
-  // must never inherit live pool threads), so the two knobs never combine.
-  int procs = 0;
 
   // --- fault injection / graceful degradation (net/fault_schedule.h) ---
   // Worker lifecycle faults injected as first-class virtual-time events. An
@@ -295,7 +287,7 @@ struct RunResult {
   int64_t policies_generated = 0;
   // Execution-backend diagnostics (all zero on the serial threads=1 path;
   // excluded from the bit-identity contract, which covers simulation outputs
-  // only): the backend that ran the simulation, frontier/window batches
+  // only): the backend that ran the simulation, window batches
   // dispatched, compute halves evaluated ahead of their turn, invalidated
   // evaluations re-dispatched onto the pool, the defensive inline recomputes
   // (expected zero), and the async pipeline's head-of-window stalls and
@@ -313,11 +305,6 @@ struct RunResult {
   int64_t window_stalls = 0;
   int64_t window_backpressure = 0;
   int64_t window_resizes = 0;
-  // Process backend only: forked children that died mid-run and the leaf
-  // ranges re-dispatched (or parent-computed) because of it. Real-machine
-  // dependent like window_stalls; zero on crash-free runs.
-  int64_t process_child_deaths = 0;
-  int64_t process_ranges_redispatched = 0;
   // Fault-injection diagnostics (all zero on fault-free runs; part of the
   // simulation output, so bit-identical across backends/threads/shards):
   // lifecycle events applied, rounds that degraded because a peer was dead
@@ -476,7 +463,7 @@ class ExperimentHarness {
   // worker.gradient. Touches only worker-local state; re-running it on
   // unchanged state reproduces the same bits (speculation-safe). When the
   // run has a pool and shards() > 1, the batch's gradient leaves evaluate as
-  // up to shards() concurrent tasks nested inside the compute frontier
+  // up to shards() concurrent tasks nested inside the reorder window
   // (ml/sharding.h) — the result bits never depend on it.
   double EvalBatchGradient(int w);
 
@@ -551,10 +538,6 @@ class ExperimentHarness {
   // Resolved intra-worker shard-task bound (config.shards with 0 mapped to
   // ceil(threads / num_workers)).
   int shards() const { return shards_; }
-  // Non-null when the run uses the multi-process backend
-  // (core/process_backend.h): the attached backend, exposed so benches can
-  // report its child count and tests can crash a child mid-run.
-  ProcessPoolBackend* process_backend() { return process_backend_; }
 
   // For NetMax diagnostics.
   void set_policies_generated(int64_t n) { policies_generated_ = n; }
@@ -643,9 +626,6 @@ class ExperimentHarness {
   // the simulator (declared before sim_ only for grouping — the simulator
   // never touches the backend after RunUntilIdle returns).
   std::unique_ptr<net::ExecutionBackend> backend_;
-  // Downcast view of backend_ when config_.backend is kProcessPool (null
-  // otherwise); EvalBatchGradient routes its leaf waves through it.
-  ProcessPoolBackend* process_backend_ = nullptr;
   net::EventSimulator sim_;
   std::unique_ptr<net::Topology> topology_;
   std::unique_ptr<net::LinkModel> links_;

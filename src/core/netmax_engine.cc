@@ -334,10 +334,9 @@ class NetMaxEngine {
         config_.symmetric_consensus ? 0.5 : kMaxConsensusCoefficient,
         config_.learning_rate * rho_ / p);
     // The consensus step writes both endpoints' parameters: invalidate any
-    // evaluation the backend ran ahead for them — a frontier speculation or
-    // an async window-resident entry alike (m usually has a pending compute
-    // event; with a reorder window its evaluation may still be running, and
-    // the notify blocks until it is safe to write).
+    // evaluation the backend ran ahead for them — an async window-resident
+    // entry (m usually has a pending compute event; its evaluation may still
+    // be running, and the notify blocks until it is safe to write).
     harness_.sim().NotifyStateWrite(w);
     if (config_.symmetric_consensus) harness_.sim().NotifyStateWrite(m);
     auto x_i = worker.model->parameters();

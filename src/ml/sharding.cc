@@ -50,11 +50,10 @@ void TreeReduceColumns(std::span<double> partials, int count, size_t width,
 // to amortize the fan-out.
 constexpr size_t kReduceChunkColumns = 1 << 12;
 
-}  // namespace
-
-// Tree-reduces `count` partials of `width` doubles, fanning the column range
-// onto `pool` for wide models (width >= kPooledReduceMinWidth). Bits are
-// identical either way: chunking only changes who reduces a column.
+// Tree-reduces `count` partials of `width` doubles in place (the reduced
+// partial lands in slot 0), fanning the column range onto `pool` for wide
+// models (width >= kPooledReduceMinWidth). Bits are identical either way:
+// chunking only changes who reduces a column.
 void TreeReducePartials(std::span<double> partials, int count, size_t width,
                         ThreadPool* pool) {
   if (pool != nullptr && count >= 2 && width >= kPooledReduceMinWidth) {
@@ -71,6 +70,8 @@ void TreeReducePartials(std::span<double> partials, int count, size_t width,
   }
   TreeReduceColumns(partials, count, width, 0, width);
 }
+
+}  // namespace
 
 int GradientLeafCount(size_t batch) {
   return static_cast<int>((batch + kGradientLeafSamples - 1) /

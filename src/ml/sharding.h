@@ -20,8 +20,8 @@
 // ShardedLossAndGradient below is the one driver of that contract: the
 // serial model overloads call it without a pool, and the experiment
 // harness's EvalBatchGradient calls it with the simulation pool and the
-// config's `shards` knob, nested inside the distinct-worker compute
-// frontier (common/thread_pool.h ParallelFor nests safely).
+// config's `shards` knob, nested inside the distinct-worker reorder window
+// (common/thread_pool.h ParallelFor nests safely).
 
 #include <cstddef>
 #include <span>
@@ -64,18 +64,6 @@ struct LeafRange {
   size_t size() const { return end - begin; }
 };
 LeafRange GradientLeafRange(size_t batch, int leaf);
-
-// Fixed-shape pairwise tree reduction of `count` contiguous partials of
-// `width` doubles each, in place (the reduced partial lands in slot 0). The
-// tree shape — and therefore every rounding step — depends only on `count`,
-// so any agent that produced the partials (shard tasks, forked processes)
-// reduces to the same bits. With a pool and width >= kPooledReduceMinWidth
-// the column range fans out, each task running the full tree over its chunk;
-// bit-identical either way. Exported for the multi-process backend, which
-// reduces leaf partials living in shared memory through the exact same
-// arithmetic as the in-process driver below.
-void TreeReducePartials(std::span<double> partials, int count, size_t width,
-                        ThreadPool* pool);
 
 // Evaluates `model`'s mean loss (and, when `gradient` is non-empty, mean
 // gradient) over `batch_indices` through the leaf decomposition above.

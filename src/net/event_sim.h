@@ -27,9 +27,8 @@
 // The simulator owns the queue and the ordering contract only. HOW compute
 // halves are evaluated relative to the strictly ordered commit drain is an
 // ExecutionBackend decision (set_backend): run them inline at their turn
-// (serial), speculate frontier batches of distinct-worker events on a
-// ThreadPool behind a barrier (speculative), or pipeline them through a
-// bounded reorder window with no barrier at all (async). Concrete backends
+// (serial), or pipeline them on a ThreadPool through a bounded reorder
+// window of distinct-worker evaluations (async). Concrete backends
 // live in core/execution_backend.h; with no backend attached the simulator
 // dispatches fully serially.
 //
@@ -102,7 +101,7 @@ using EventRebuilder = std::function<StatusOr<RebuiltEvent>(const SavedEvent&)>;
 struct ExecutionStats {
   // Dispatch bursts that put at least two compute halves in flight.
   int64_t parallel_batches = 0;
-  // Compute halves evaluated ahead of their turn (frontier or window).
+  // Compute halves evaluated ahead of their turn (admitted to the window).
   int64_t computes_speculated = 0;
   // Invalidated speculations re-dispatched onto the pool after the
   // invalidating handler returned (double invalidations re-count).
@@ -122,13 +121,6 @@ struct ExecutionStats {
   // re-sized in response to the backpressure/stall/re-dispatch counters
   // (real-timing dependent, like window_stalls).
   int64_t window_resizes = 0;
-  // Process backend: forked children that died mid-run (each death also
-  // surfaces as a typed Status on the backend) and the unfinished leaf
-  // ranges re-dispatched to a surviving child (or computed by the parent
-  // with no survivors left) because of those deaths. Both real-machine
-  // dependent, like window_stalls; both zero on crash-free runs.
-  int64_t process_child_deaths = 0;
-  int64_t process_ranges_redispatched = 0;
 };
 
 class EventSimulator {
@@ -328,7 +320,7 @@ class EventSimulator {
 // Strategy interface between the simulation schedule and how compute halves
 // actually get evaluated. One backend instance drives one simulator run:
 // RunUntilIdle alternates Dispatch (offer pending compute halves to the
-// backend — inline, pooled frontier, bounded window, ...) with DrainCommits
+// backend — inline or into a bounded window) with DrainCommits
 // (apply at least one event in strict (time, sequence) order, consuming
 // dispatched results through the SpeculationProvider). Concrete
 // implementations and the selection plumbing live in
@@ -348,7 +340,7 @@ class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
 
-  // Short stable identifier ("serial", "speculative", "async") used in
+  // Short stable identifier ("serial", "async") used in
   // RunResult and bench tables.
   virtual std::string_view name() const = 0;
 

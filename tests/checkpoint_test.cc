@@ -110,7 +110,7 @@ TEST_P(CheckpointRoundTrip, AllBackendsBitIdentical) {
   };
   const BackendPoint points[] = {
       {ExecutionBackendKind::kSerial, 1, 0},
-      {ExecutionBackendKind::kSpeculative, 8, 0},
+      {ExecutionBackendKind::kAsyncPipeline, 8, 0},
       {ExecutionBackendKind::kAsyncPipeline, 8, 4},
   };
   for (const BackendPoint& point : points) {
@@ -137,58 +137,37 @@ TEST_P(CheckpointRoundTrip, AllBackendsBitIdentical) {
 }
 
 // A checkpoint written by the serial backend restores bit-identically on the
-// pooled backends (and vice versa): the bytes carry no execution-strategy
-// state.
+// pooled backend, and one written by the pooled backend restores under
+// serial: the bytes carry no execution-strategy state (the checkpoint
+// fingerprint covers the simulation config only — backend and threads are
+// real-machine choices).
 TEST_P(CheckpointRoundTrip, CheckpointsAreBackendPortable) {
   const ExperimentConfig base = BaseConfig();
   const RunResult reference = MustRun(GetParam(), base);
-  std::vector<uint8_t> checkpoint;
-  ExperimentConfig with_checkpoint = base;
-  with_checkpoint.checkpoint_at_seconds =
-      0.5 * reference.total_virtual_seconds;
-  with_checkpoint.checkpoint_sink = &checkpoint;
-  MustRun(GetParam(), with_checkpoint);
+  ExperimentConfig pooled = base;
+  pooled.backend = ExecutionBackendKind::kAsyncPipeline;
+  pooled.threads = 8;
+  pooled.reorder_window = 4;
 
-  ExperimentConfig resumed = base;
-  resumed.backend = ExecutionBackendKind::kAsyncPipeline;
-  resumed.threads = 8;
-  resumed.reorder_window = 4;
-  resumed.restore_source = &checkpoint;
-  ExpectBitIdentical(reference, MustRun(GetParam(), resumed));
-}
+  struct Direction {
+    const ExperimentConfig* writer;
+    const ExperimentConfig* reader;
+  };
+  for (const Direction& direction :
+       {Direction{&base, &pooled}, Direction{&pooled, &base}}) {
+    SCOPED_TRACE(direction.writer->threads);
+    std::vector<uint8_t> checkpoint;
+    ExperimentConfig with_checkpoint = *direction.writer;
+    with_checkpoint.checkpoint_at_seconds =
+        0.5 * reference.total_virtual_seconds;
+    with_checkpoint.checkpoint_sink = &checkpoint;
+    MustRun(GetParam(), with_checkpoint);
+    ASSERT_FALSE(checkpoint.empty());
 
-// Cross-config restore across the process boundary: a checkpoint written by
-// the speculative backend under a full thread pool restores bit-identically
-// under the multi-process backend (forked children, shared-memory dispatch)
-// and back under serial. The checkpoint fingerprint covers the simulation
-// config only — backend, threads, and procs are real-machine choices — so
-// both restores must accept the bytes and finish on the reference's bits.
-TEST_P(CheckpointRoundTrip, SpeculativeCheckpointRestoresUnderProcessBackend) {
-  const ExperimentConfig base = BaseConfig();
-  const RunResult reference = MustRun(GetParam(), base);
-  ASSERT_GT(reference.total_virtual_seconds, 0.0);
-
-  std::vector<uint8_t> checkpoint;
-  ExperimentConfig with_checkpoint = base;
-  with_checkpoint.backend = ExecutionBackendKind::kSpeculative;
-  with_checkpoint.threads = 8;
-  with_checkpoint.checkpoint_at_seconds =
-      0.5 * reference.total_virtual_seconds;
-  with_checkpoint.checkpoint_sink = &checkpoint;
-  MustRun(GetParam(), with_checkpoint);
-  ASSERT_FALSE(checkpoint.empty());
-
-  ExperimentConfig under_process = base;
-  under_process.backend = ExecutionBackendKind::kProcessPool;
-  under_process.procs = 2;  // pinned: the grid must not fork one per core
-  under_process.restore_source = &checkpoint;
-  const RunResult process_restored = MustRun(GetParam(), under_process);
-  EXPECT_EQ(process_restored.backend, "process");
-  ExpectBitIdentical(reference, process_restored);
-
-  ExperimentConfig under_serial = base;
-  under_serial.restore_source = &checkpoint;
-  ExpectBitIdentical(reference, MustRun(GetParam(), under_serial));
+    ExperimentConfig resumed = *direction.reader;
+    resumed.restore_source = &checkpoint;
+    ExpectBitIdentical(reference, MustRun(GetParam(), resumed));
+  }
 }
 
 // The crash-recovery contract: a run killed by a crash@T fault, restored

@@ -124,7 +124,7 @@ TEST(ComputeEventTest, SerialDispatchRunsComputeThenCommit) {
 TEST(ComputeEventTest, CommitsRunInTimeSequenceOrderOnThePool) {
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
+  core::AsyncPipelineBackend backend(&pool, /*reorder_window=*/0);
   sim.set_backend(&backend);
   std::vector<int> commit_order;
   for (int key = 0; key < 8; ++key) {
@@ -148,7 +148,7 @@ TEST(ComputeEventTest, SameKeyEventsSeeEachOthersCommitsInOrder) {
   // would return stale values.
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
+  core::AsyncPipelineBackend backend(&pool, /*reorder_window=*/0);
   sim.set_backend(&backend);
   double state = 0.0;  // owned by key 0
   std::vector<double> seen;
@@ -171,12 +171,12 @@ TEST(ComputeEventTest, SameKeyEventsSeeEachOthersCommitsInOrder) {
 
 TEST(ComputeEventTest, NotifyStateWriteInvalidatesStaleSpeculation) {
   // Event A (earlier) commits a write into the state event B's compute
-  // reads. Both are speculated in one frontier; B's speculation is stale and
-  // must be discarded and re-dispatched onto the pool (second pass) after
-  // A's commit, observing A's write.
+  // reads. Both are speculated in one window; B's speculation is stale and
+  // must be discarded and re-dispatched onto the pool after A's commit,
+  // observing A's write.
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
+  core::AsyncPipelineBackend backend(&pool, /*reorder_window=*/0);
   sim.set_backend(&backend);
   double shared_b_state = 1.0;  // owned by key 1
   double b_saw = 0.0;
@@ -204,7 +204,7 @@ TEST(ComputeEventTest, RedispatchedComputeInvalidatedAgainStaysOrdered) {
   // the value a serial run would produce, after the SECOND write.
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
+  core::AsyncPipelineBackend backend(&pool, /*reorder_window=*/0);
   sim.set_backend(&backend);
   double state = 1.0;  // owned by key 3
   double d_saw = 0.0;
@@ -238,7 +238,7 @@ TEST(ComputeEventTest, RedispatchWithinOneHandlerReadsPostHandlerState) {
   // handler returns) must observe both — not the state mid-handler.
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
+  core::AsyncPipelineBackend backend(&pool, /*reorder_window=*/0);
   sim.set_backend(&backend);
   double b_state = 1.0;  // owned by key 1
   double b_saw = 0.0;
@@ -262,7 +262,7 @@ TEST(ComputeEventTest, RedispatchWithinOneHandlerReadsPostHandlerState) {
 TEST(ComputeEventTest, PlainEventsInterleaveAtExactPositions) {
   ThreadPool pool(2);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
+  core::AsyncPipelineBackend backend(&pool, /*reorder_window=*/0);
   sim.set_backend(&backend);
   std::vector<int> order;
   sim.ScheduleCompute(
@@ -283,7 +283,7 @@ TEST(ComputeEventTest, CommitMayScheduleEarlierThanLaterFrontierMembers) {
   // run before B's commit and invalidate B's speculation.
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
+  core::AsyncPipelineBackend backend(&pool, /*reorder_window=*/0);
   sim.set_backend(&backend);
   double b_state = 1.0;
   double b_saw = 0.0;
@@ -330,7 +330,7 @@ TEST(ComputeEventTest, ChainedComputeEventsMatchSerialBits) {
   };
   const std::vector<double> serial = run(nullptr);
   ThreadPool pool(4);
-  core::SpeculativeBackend backend(&pool);
+  core::AsyncPipelineBackend backend(&pool, /*reorder_window=*/0);
   const std::vector<double> parallel = run(&backend);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {

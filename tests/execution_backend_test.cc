@@ -97,7 +97,7 @@ TEST(ExecutionBackendSeamTest, NoBackendMeansSerialAndNotifyIsANoOp) {
 }
 
 TEST(ExecutionBackendSeamTest, FactoryDegradesToSerialWithoutAPool) {
-  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kSpeculative,
+  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kAsyncPipeline,
                                  /*pool=*/nullptr, /*reorder_window=*/0)
                 ->name(),
             "serial");
@@ -109,45 +109,27 @@ TEST(ExecutionBackendSeamTest, FactoryDegradesToSerialWithoutAPool) {
   EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kSerial, &pool, 0)
                 ->name(),
             "serial");
-  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kSpeculative, &pool, 0)
-                ->name(),
-            "speculative");
   EXPECT_EQ(
       MakeExecutionBackend(ExecutionBackendKind::kAsyncPipeline, &pool, 4)
           ->name(),
       "async");
-  // The process pool's parallelism is forked children, not the thread pool:
-  // it must NOT degrade to serial without one (and must ignore one if given).
-  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kProcessPool,
-                                 /*pool=*/nullptr, /*reorder_window=*/0)
-                ->name(),
-            "process");
-  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kProcessPool, &pool, 0)
-                ->name(),
-            "process");
 }
 
 TEST(ExecutionBackendSeamTest, KindParsingIsStrict) {
   ExecutionBackendKind kind = ExecutionBackendKind::kSerial;
-  EXPECT_TRUE(ParseExecutionBackendKind("speculative", &kind));
-  EXPECT_EQ(kind, ExecutionBackendKind::kSpeculative);
   EXPECT_TRUE(ParseExecutionBackendKind("async", &kind));
   EXPECT_EQ(kind, ExecutionBackendKind::kAsyncPipeline);
   EXPECT_TRUE(ParseExecutionBackendKind("serial", &kind));
   EXPECT_EQ(kind, ExecutionBackendKind::kSerial);
-  EXPECT_TRUE(ParseExecutionBackendKind("process", &kind));
-  EXPECT_EQ(kind, ExecutionBackendKind::kProcessPool);
   for (const std::string_view bad :
-       {"", "Serial", "asink", "async ", "speculative2", "Process",
-        "process "}) {
+       {"", "Serial", "asink", "async ", "speculative", "speculative2",
+        "process", "Process", "process "}) {
     ExecutionBackendKind untouched = ExecutionBackendKind::kAsyncPipeline;
     EXPECT_FALSE(ParseExecutionBackendKind(bad, &untouched)) << bad;
     EXPECT_EQ(untouched, ExecutionBackendKind::kAsyncPipeline) << bad;
   }
   for (const ExecutionBackendKind k :
-       {ExecutionBackendKind::kSerial, ExecutionBackendKind::kSpeculative,
-        ExecutionBackendKind::kAsyncPipeline,
-        ExecutionBackendKind::kProcessPool}) {
+       {ExecutionBackendKind::kSerial, ExecutionBackendKind::kAsyncPipeline}) {
     ExecutionBackendKind round_trip = ExecutionBackendKind::kSerial;
     ASSERT_TRUE(
         ParseExecutionBackendKind(ExecutionBackendKindName(k), &round_trip));
@@ -225,14 +207,15 @@ TEST(AsyncPipelineBackendTest, WindowFullAppliesBackpressure) {
   EXPECT_GE(backend.stats().window_backpressure, 1);
 }
 
-TEST(AsyncPipelineBackendTest, WindowZeroIsSynchronous) {
-  ThreadPool pool(4);
+TEST(AsyncPipelineBackendTest, WindowZeroIsTwoPerThread) {
+  // A pool of 3 workers plus the simulator thread is a 4-thread budget.
+  ThreadPool pool(3);
   AsyncPipelineBackend backend(&pool, /*reorder_window=*/0);
+  EXPECT_EQ(backend.reorder_window(), 2 * 4);
   const std::vector<int> commit_order =
       RunScriptedLatencies(&backend, {0, 0, 0});
   EXPECT_EQ(commit_order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(backend.stats().computes_speculated, 0);
-  EXPECT_EQ(backend.stats().window_backpressure, 0);
+  EXPECT_EQ(backend.stats().computes_speculated, 3);
 }
 
 TEST(AsyncPipelineBackendTest, InvalidatedWindowEntryIsRedispatched) {
@@ -335,8 +318,7 @@ TEST(AsyncPipelineBackendTest, SameKeyChainsNeverOverlapInTheWindow) {
 
 // Per-key compute chains whose commits couple neighboring keys (like
 // consensus pulls) with skewed per-key sleep times: the event trace must be
-// identical across serial dispatch, the speculative frontier, and every
-// async window size.
+// identical across serial dispatch and every async window size.
 std::vector<double> RunChainedWorkload(net::ExecutionBackend* backend) {
   EventSimulator sim;
   sim.set_backend(backend);
@@ -372,7 +354,6 @@ TEST(ExecutionBackendDeterminismTest, AllBackendsProduceTheSerialTrace) {
   ThreadPool pool(4);
   std::vector<std::unique_ptr<net::ExecutionBackend>> backends;
   backends.push_back(std::make_unique<SerialBackend>());
-  backends.push_back(std::make_unique<SpeculativeBackend>(&pool));
   for (const int window : {0, 1, 4}) {
     backends.push_back(std::make_unique<AsyncPipelineBackend>(&pool, window));
   }

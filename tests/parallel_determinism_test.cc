@@ -28,22 +28,6 @@ using core::ExperimentConfig;
 using core::NetworkScenario;
 using core::RunResult;
 
-// Sanitizer builds run the process backend in its in-process inline mode
-// (no fork, so no cross-process waves) — see core/process_backend.h.
-bool SanitizerBuild() {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  return true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  return true;
-#else
-  return false;
-#endif
-#else
-  return false;
-#endif
-}
-
 ExperimentConfig BaseConfig() {
   ExperimentConfig config;
   config.dataset.name = "determinism";
@@ -53,7 +37,7 @@ ExperimentConfig BaseConfig() {
   config.dataset.num_test = 128;
   config.dataset.class_separation = 4.0;
   config.hidden_layers = {12};
-  config.num_workers = 8;  // enough workers for real frontier batches
+  config.num_workers = 8;  // enough workers for real window batches
   config.batch_size = 16;
   config.max_epochs = 2;
   config.network = NetworkScenario::kHeterogeneousStatic;
@@ -68,16 +52,13 @@ ExperimentConfig BaseConfig() {
 RunResult RunWithThreads(
     const std::string& name, const ExperimentConfig& base, int threads,
     int shards = 1,
-    ExecutionBackendKind backend = ExecutionBackendKind::kSpeculative,
-    int reorder_window = 0, int procs = 2) {
+    ExecutionBackendKind backend = ExecutionBackendKind::kAsyncPipeline,
+    int reorder_window = 0) {
   ExperimentConfig config = base;
   config.threads = threads;
   config.shards = shards;
   config.backend = backend;
   config.reorder_window = reorder_window;
-  // Only read by the process backend; pinned small so grid tests never fork
-  // one child per hardware core.
-  config.procs = procs;
   auto algorithm = algos::MakeAlgorithm(name);
   NETMAX_CHECK_OK(algorithm.status());
   auto result = (*algorithm)->Run(config);
@@ -146,10 +127,10 @@ TEST_P(ParallelDeterminism, BackendWindowGridBitIdentical) {
   // fully serial unsharded reference. A leaner config than BaseConfig keeps
   // the 36-point grid affordable; batch 24 = three gradient leaves, so
   // shards=2 still splits leaf ranges unevenly. reorder_window only matters
-  // for the async backend (and only with a pool), but the grid runs every
-  // combination anyway — that serial/speculative ignore the knob, and that
-  // threads=1 collapses every backend to serial dispatch, is exactly what
-  // the contract promises.
+  // for the async backend (and only with a pool), but the grid runs serial
+  // under several windows anyway — that serial ignores the knob, and that
+  // threads=1 collapses both backends to serial dispatch, is exactly what
+  // the contract promises. Async sweeps window 0 (auto) and 1 through 8.
   ExperimentConfig config = BaseConfig();
   config.dataset.num_train = 256;
   config.dataset.num_test = 64;
@@ -157,16 +138,11 @@ TEST_P(ParallelDeterminism, BackendWindowGridBitIdentical) {
   config.max_epochs = 1;
   const RunResult reference = RunWithThreads(GetParam(), config, 1, 1);
   for (const ExecutionBackendKind backend :
-       {ExecutionBackendKind::kSerial, ExecutionBackendKind::kSpeculative,
-        ExecutionBackendKind::kAsyncPipeline,
-        ExecutionBackendKind::kProcessPool}) {
-    // The process backend ignores reorder_window (serial event semantics)
-    // and forces threads to 1; one window value keeps the grid affordable
-    // while {threads, shards} still vary the ignored knobs.
+       {ExecutionBackendKind::kSerial, ExecutionBackendKind::kAsyncPipeline}) {
     const auto windows =
-        backend == ExecutionBackendKind::kProcessPool
-            ? std::vector<int>{0}
-            : std::vector<int>{0, 1, 4};
+        backend == ExecutionBackendKind::kSerial
+            ? std::vector<int>{0, 1, 4}
+            : std::vector<int>{0, 1, 2, 3, 4, 8};
     for (const int reorder_window : windows) {
       for (const int threads : {1, 8}) {
         for (const int shards : {1, 2}) {
@@ -184,40 +160,13 @@ TEST_P(ParallelDeterminism, BackendWindowGridBitIdentical) {
   }
 }
 
-TEST(ParallelDeterminismTest, ProcessBackendForksAndMatchesAtAnyProcCount) {
-  // The fork + MAP_SHARED backend: bits identical to the serial reference
-  // for 1, 2, and 3 children (the leaf split is procs-stable geometry over
-  // the same fixed decomposition), with real waves fanning out whenever
-  // procs >= 2 and no child deaths on the healthy path.
-  ExperimentConfig config = BaseConfig();
-  config.dataset.num_train = 256;
-  config.dataset.num_test = 64;
-  config.batch_size = 24;
-  config.max_epochs = 1;
-  const RunResult reference =
-      RunWithThreads("netmax", config, 1, 1, ExecutionBackendKind::kSerial);
-  for (const int procs : {1, 2, 3}) {
-    SCOPED_TRACE(procs);
-    const RunResult run =
-        RunWithThreads("netmax", config, 1, 1,
-                       ExecutionBackendKind::kProcessPool, 0, procs);
-    EXPECT_EQ(run.backend, "process");
-    ExpectBitIdentical(reference, run);
-    EXPECT_EQ(run.process_child_deaths, 0);
-    EXPECT_EQ(run.process_ranges_redispatched, 0);
-    if (procs >= 2 && !SanitizerBuild()) {
-      // Inline mode (sanitizer builds) evaluates in-process: no waves.
-      EXPECT_GT(run.parallel_batches, 0);
-    }
-  }
-}
-
 TEST(ParallelDeterminismTest, AsyncPipelineActuallyOverlapsAndRedispatches) {
   // The async backend must put real compute halves in the window (not
   // silently degrade to inline dispatch) and resolve consensus
-  // invalidations through re-dispatch, for a window of any useful size.
+  // invalidations through re-dispatch, for a window of any useful size
+  // (0 = auto, two per thread).
   const ExperimentConfig config = BaseConfig();
-  for (const int reorder_window : {1, 4}) {
+  for (const int reorder_window : {0, 1, 4}) {
     const RunResult run =
         RunWithThreads("netmax", config, 8, 1,
                        ExecutionBackendKind::kAsyncPipeline, reorder_window);
@@ -225,18 +174,13 @@ TEST(ParallelDeterminismTest, AsyncPipelineActuallyOverlapsAndRedispatches) {
     EXPECT_EQ(run.backend, "async");
     EXPECT_GT(run.computes_speculated, 0);
     EXPECT_EQ(run.computes_recomputed, 0);
-    if (reorder_window > 1) {
+    if (reorder_window != 1) {
       // With real window depth the consensus writes must hit
       // window-resident entries.
       EXPECT_GT(run.computes_redispatched, 0);
       EXPECT_GT(run.parallel_batches, 0);
     }
   }
-  // Window 0 is synchronous: the async backend runs everything inline.
-  const RunResult sync = RunWithThreads(
-      "netmax", config, 8, 1, ExecutionBackendKind::kAsyncPipeline, 0);
-  EXPECT_EQ(sync.backend, "async");
-  EXPECT_EQ(sync.computes_speculated, 0);
 }
 
 TEST_P(ParallelDeterminism, FaultScheduleBitIdenticalAcrossExecutionPoints) {
@@ -268,8 +212,8 @@ TEST_P(ParallelDeterminism, FaultScheduleBitIdenticalAcrossExecutionPoints) {
     int reorder_window;
   };
   const ExecutionPoint points[] = {
-      {ExecutionBackendKind::kSpeculative, 8, 1, 0},
-      {ExecutionBackendKind::kSpeculative, 8, 2, 0},
+      {ExecutionBackendKind::kAsyncPipeline, 8, 1, 0},
+      {ExecutionBackendKind::kAsyncPipeline, 8, 2, 0},
       {ExecutionBackendKind::kAsyncPipeline, 8, 1, 4},
   };
   for (const core::PeerPolicy policy :
@@ -318,13 +262,13 @@ TEST_P(ParallelDeterminism, CompressionBitIdenticalAcrossExecutionPoints) {
     net::EventQueueKind queue;
   };
   const ExecutionPoint points[] = {
-      {ExecutionBackendKind::kSpeculative, 8, 1, 0,
+      {ExecutionBackendKind::kAsyncPipeline, 8, 1, 0,
        net::EventQueueKind::kSortedVector},
-      {ExecutionBackendKind::kSpeculative, 8, 2, 0,
+      {ExecutionBackendKind::kAsyncPipeline, 8, 2, 0,
        net::EventQueueKind::kBinaryHeap},
       {ExecutionBackendKind::kAsyncPipeline, 8, 1, 4,
        net::EventQueueKind::kCalendar},
-      {ExecutionBackendKind::kProcessPool, 1, 1, 0,
+      {ExecutionBackendKind::kAsyncPipeline, 4, 2, 1,
        net::EventQueueKind::kPairingHeap},
   };
   for (const char* spec_text : {"topk:0.1", "int8", "layerwise:2"}) {
@@ -426,20 +370,20 @@ TEST(ParallelDeterminismTest, ParallelRunsActuallySpeculate) {
     const RunResult serial = RunWithThreads(name, config, 1);
     const RunResult parallel = RunWithThreads(name, config, 8);
     EXPECT_EQ(serial.backend, "serial") << name;  // threads=1 degrades
-    EXPECT_EQ(parallel.backend, "speculative") << name;
+    EXPECT_EQ(parallel.backend, "async") << name;
     EXPECT_EQ(serial.computes_speculated, 0) << name;
     EXPECT_GT(parallel.parallel_batches, 0) << name;
     EXPECT_GT(parallel.computes_speculated, 0) << name;
     // Invalidations are expected (consensus commits dirty their peers), but
-    // every one must resolve through the second-pass re-dispatch — the
-    // inline fallback is defensive only.
+    // every one must resolve through re-dispatch — the inline fallback is
+    // defensive only.
     EXPECT_EQ(parallel.computes_recomputed, 0) << name;
   }
 }
 
 TEST(ParallelDeterminismTest, ConsensusInvalidationsAreRedispatched) {
   // NetMax's symmetric consensus dirties the pulled peer, whose compute is
-  // usually speculated: the run must actually exercise the second pass.
+  // usually window-resident: the run must actually exercise re-dispatch.
   const ExperimentConfig config = BaseConfig();
   const RunResult parallel = RunWithThreads("netmax", config, 8);
   EXPECT_GT(parallel.computes_redispatched, 0);
@@ -448,7 +392,7 @@ TEST(ParallelDeterminismTest, ConsensusInvalidationsAreRedispatched) {
 
 TEST(ParallelDeterminismTest, ThreadCountsAgreeAmongThemselves) {
   // 2, 3, and 8 threads all produce the same bits (not just 1 vs 8): the
-  // frontier size and speculation pattern differ, the results must not.
+  // window size and speculation pattern differ, the results must not.
   const ExperimentConfig config = BaseConfig();
   const RunResult two = RunWithThreads("netmax", config, 2);
   const RunResult three = RunWithThreads("netmax", config, 3);

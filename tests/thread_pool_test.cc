@@ -119,7 +119,7 @@ TEST(ParallelForTest, IndexOverloadWithMoreIndicesThanThreads) {
 }
 
 TEST(ParallelForTest, NestsOnTheSamePool) {
-  // The sharded-gradient pattern: outer ParallelFor tasks (frontier compute
+  // The sharded-gradient pattern: outer ParallelFor tasks (window compute
   // halves) each run an inner ParallelFor on the SAME pool. Caller
   // participation must keep every level live even with far more outer tasks
   // than threads.

@@ -34,6 +34,7 @@
 #include <string>
 
 #include "algos/registry.h"
+#include "common/flags.h"
 #include "common/status.h"
 #include "core/experiment.h"
 #include "ml/compression.h"
@@ -129,21 +130,22 @@ Status DumpTrace(const std::string& request) {
     NETMAX_ASSIGN_OR_RETURN(config.event_queue,
                             net::ParseEventQueueKind(queue_env));
   }
-  // NETMAX_BACKEND / NETMAX_PROCS select the execution backend the same way:
-  // every backend (including the forked process pool) must reproduce the
-  // same trace bytes, and the determinism lane diffs process against serial.
+  // NETMAX_BACKEND / NETMAX_THREADS select the execution backend and its
+  // thread budget the same way: the pinned config runs serially, so a pooled
+  // gate needs both, and every point must reproduce the same trace bytes.
   if (const char* backend_env = std::getenv("NETMAX_BACKEND")) {
     if (!core::ParseExecutionBackendKind(backend_env, &config.backend)) {
       return InvalidArgumentError(std::string("bad NETMAX_BACKEND value: ") +
                                   backend_env);
     }
   }
-  if (const char* procs_env = std::getenv("NETMAX_PROCS")) {
-    config.procs = std::atoi(procs_env);
-    if (config.procs <= 0) {
-      return InvalidArgumentError(std::string("bad NETMAX_PROCS value: ") +
-                                  procs_env);
+  if (const char* threads_env = std::getenv("NETMAX_THREADS")) {
+    const StatusOr<int> threads = ParseNonNegativeInt(threads_env);
+    if (!threads.ok()) {
+      return InvalidArgumentError(std::string("bad NETMAX_THREADS value: ") +
+                                  threads_env);
     }
+    config.threads = *threads;
   }
   if (fault_mode) {
     NETMAX_ASSIGN_OR_RETURN(config.faults,
