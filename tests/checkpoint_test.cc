@@ -137,37 +137,61 @@ TEST_P(CheckpointRoundTrip, AllBackendsBitIdentical) {
 }
 
 // A checkpoint written by the serial backend restores bit-identically on the
-// pooled backend, and one written by the pooled backend restores under
-// serial: the bytes carry no execution-strategy state (the checkpoint
-// fingerprint covers the simulation config only — backend and threads are
-// real-machine choices).
+// pooled backend: the bytes carry no execution-strategy state.
 TEST_P(CheckpointRoundTrip, CheckpointsAreBackendPortable) {
   const ExperimentConfig base = BaseConfig();
   const RunResult reference = MustRun(GetParam(), base);
-  ExperimentConfig pooled = base;
-  pooled.backend = ExecutionBackendKind::kAsyncPipeline;
-  pooled.threads = 8;
-  pooled.reorder_window = 4;
+  std::vector<uint8_t> checkpoint;
+  ExperimentConfig with_checkpoint = base;
+  with_checkpoint.checkpoint_at_seconds =
+      0.5 * reference.total_virtual_seconds;
+  with_checkpoint.checkpoint_sink = &checkpoint;
+  MustRun(GetParam(), with_checkpoint);
 
-  struct Direction {
-    const ExperimentConfig* writer;
-    const ExperimentConfig* reader;
-  };
-  for (const Direction& direction :
-       {Direction{&base, &pooled}, Direction{&pooled, &base}}) {
-    SCOPED_TRACE(direction.writer->threads);
-    std::vector<uint8_t> checkpoint;
-    ExperimentConfig with_checkpoint = *direction.writer;
-    with_checkpoint.checkpoint_at_seconds =
-        0.5 * reference.total_virtual_seconds;
-    with_checkpoint.checkpoint_sink = &checkpoint;
-    MustRun(GetParam(), with_checkpoint);
-    ASSERT_FALSE(checkpoint.empty());
+  ExperimentConfig resumed = base;
+  resumed.backend = ExecutionBackendKind::kAsyncPipeline;
+  resumed.threads = 8;
+  resumed.reorder_window = 4;
+  resumed.restore_source = &checkpoint;
+  ExpectBitIdentical(reference, MustRun(GetParam(), resumed));
+}
 
-    ExperimentConfig resumed = *direction.reader;
-    resumed.restore_source = &checkpoint;
-    ExpectBitIdentical(reference, MustRun(GetParam(), resumed));
-  }
+// Cross-config restore: a checkpoint written by the pooled backend under a
+// full thread pool with the auto reorder window restores bit-identically
+// under a different pooled config (two threads, window 1) and back under
+// serial. The checkpoint fingerprint covers the simulation config only —
+// backend, threads and window are real-machine choices — so both restores
+// must accept the bytes and finish on the reference's bits. (The name dates
+// from when the writer was the speculative backend and the first reader the
+// process backend; the async pipeline now stands in for both.)
+TEST_P(CheckpointRoundTrip, SpeculativeCheckpointRestoresUnderProcessBackend) {
+  const ExperimentConfig base = BaseConfig();
+  const RunResult reference = MustRun(GetParam(), base);
+  ASSERT_GT(reference.total_virtual_seconds, 0.0);
+
+  std::vector<uint8_t> checkpoint;
+  ExperimentConfig with_checkpoint = base;
+  with_checkpoint.backend = ExecutionBackendKind::kAsyncPipeline;
+  with_checkpoint.threads = 8;
+  with_checkpoint.reorder_window = 0;  // auto: 2 x threads
+  with_checkpoint.checkpoint_at_seconds =
+      0.5 * reference.total_virtual_seconds;
+  with_checkpoint.checkpoint_sink = &checkpoint;
+  MustRun(GetParam(), with_checkpoint);
+  ASSERT_FALSE(checkpoint.empty());
+
+  ExperimentConfig under_small_pool = base;
+  under_small_pool.backend = ExecutionBackendKind::kAsyncPipeline;
+  under_small_pool.threads = 2;
+  under_small_pool.reorder_window = 1;
+  under_small_pool.restore_source = &checkpoint;
+  const RunResult pool_restored = MustRun(GetParam(), under_small_pool);
+  EXPECT_EQ(pool_restored.backend, "async");
+  ExpectBitIdentical(reference, pool_restored);
+
+  ExperimentConfig under_serial = base;
+  under_serial.restore_source = &checkpoint;
+  ExpectBitIdentical(reference, MustRun(GetParam(), under_serial));
 }
 
 // The crash-recovery contract: a run killed by a crash@T fault, restored
