@@ -1,7 +1,8 @@
 #include "core/execution_backend.h"
 
+#include <sys/resource.h>
+
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -15,6 +16,17 @@ using net::EventSimulator;
 // Dispatch call while looking for compute halves to run ahead (plain events
 // count toward the cap). Bounds the cost of skipping over plain events.
 constexpr int64_t kMaxScannedEvents = 256;
+
+// Involuntary context switches of the calling thread so far; 0 where the
+// platform does not report them (the auto-window throttle then never
+// engages).
+int64_t CallingThreadPreemptions() {
+#ifdef RUSAGE_THREAD
+  rusage usage{};
+  if (getrusage(RUSAGE_THREAD, &usage) == 0) return usage.ru_nivcsw;
+#endif
+  return 0;
+}
 
 }  // namespace
 
@@ -71,17 +83,72 @@ AsyncPipelineBackend::AsyncPipelineBackend(ThreadPool* pool, int reorder_window,
       adaptive_window_(adaptive_window) {
   NETMAX_CHECK(pool_ != nullptr) << "AsyncPipelineBackend needs a pool";
   NETMAX_CHECK_GE(reorder_window_, 0);
-  if (reorder_window_ == 0) reorder_window_ = 2 * (pool_->num_threads() + 1);
+  if (reorder_window_ == 0) {
+    reorder_window_ = 2 * (pool_->num_threads() + 1);
+    // With --adaptive-window the adaptive controller sizes it instead.
+    if (!adaptive_window_) auto_window_bound_ = reorder_window_;
+  }
   if (reorder_window_ > kMaxAdaptiveWindow && adaptive_window_) {
     reorder_window_ = kMaxAdaptiveWindow;
   }
 }
 
+bool AsyncPipelineBackend::RunIfQueued(Job& job) {
+  int expected = Job::kQueued;
+  if (!job.state.compare_exchange_strong(expected, Job::kRunning,
+                                         std::memory_order_acq_rel)) {
+    return false;
+  }
+  job.value = (*job.compute)();
+  job.state.store(Job::kDone, std::memory_order_release);
+  job.state.notify_all();
+  return true;
+}
+
+bool AsyncPipelineBackend::CancelIfQueued(Job& job) {
+  int expected = Job::kQueued;
+  return job.state.compare_exchange_strong(expected, Job::kCancelled,
+                                           std::memory_order_acq_rel);
+}
+
 void AsyncPipelineBackend::Submit(Entry& entry) {
-  // The pooled task writes into the heap-stable Entry; `done` publishes the
-  // write to the simulator thread.
-  std::packaged_task<void()> task([&entry] { entry.value = entry.compute(); });
-  entry.done = pool_->Submit(std::move(task));
+  entry.job = std::make_shared<Job>(&entry.compute);
+  // A no-op if the job was cancelled or the drain ran it first.
+  pool_->Submit([job = entry.job] { RunIfQueued(*job); });
+}
+
+void AsyncPipelineBackend::Settle(Job& job, bool compute) {
+  // Nobody started it: run it here rather than wait for a pool thread to
+  // reach it, or drop it unrun.
+  if (compute ? RunIfQueued(job) : CancelIfQueued(job)) return;
+  while (job.state.load(std::memory_order_acquire) == Job::kRunning) {
+    // The drain works on the window while the pool finishes this job rather
+    // than leave one of the run's threads asleep at each commit. Only the
+    // drain helps: it runs between handlers, never inside one.
+    if (!compute || !HelpOne()) {
+      job.state.wait(Job::kRunning, std::memory_order_acquire);
+    }
+  }
+}
+
+bool AsyncPipelineBackend::HelpOne() {
+  while (true) {
+    Entry* earliest = nullptr;
+    for (auto& [key, entry] : window_) {
+      if (entry->invalidated ||
+          entry->job->state.load(std::memory_order_relaxed) != Job::kQueued) {
+        continue;
+      }
+      if (earliest == nullptr ||
+          std::make_pair(entry->time, entry->sequence) <
+              std::make_pair(earliest->time, earliest->sequence)) {
+        earliest = entry.get();
+      }
+    }
+    if (earliest == nullptr) return false;
+    if (RunIfQueued(*earliest->job)) return true;
+    // A pool thread took it first: look again.
+  }
 }
 
 void AsyncPipelineBackend::Dispatch(EventSimulator& sim) {
@@ -90,35 +157,58 @@ void AsyncPipelineBackend::Dispatch(EventSimulator& sim) {
   // observe the resident event's commit — but the scan continues past it, so
   // one busy worker never blocks the pipeline for the others.
   int64_t admitted = 0;
-  sim.ScanPendingComputes(
-      kMaxScannedEvents,
-      [&](const EventSimulator::PendingComputeView& view) {
-        if (window_.find(view.worker_key) != window_.end()) {
+  if (reorder_window_ > 0) {  // 0: the throttle stopped all run-ahead
+    sim.ScanPendingComputes(
+        kMaxScannedEvents,
+        [&](const EventSimulator::PendingComputeView& view) {
+          if (window_.find(view.worker_key) != window_.end()) {
+            return EventSimulator::ScanAction::kContinue;
+          }
+          if (static_cast<int>(window_.size()) >= reorder_window_) {
+            ++stats_.window_backpressure;  // runnable work held back: full
+            return EventSimulator::ScanAction::kStop;
+          }
+          auto entry = std::make_unique<Entry>();
+          entry->sequence = view.sequence;
+          entry->worker_key = view.worker_key;
+          entry->time = view.time;
+          entry->compute = view.compute;
+          Submit(*entry);
+          window_.emplace(view.worker_key, std::move(entry));
+          ++stats_.computes_speculated;
+          ++admitted;
           return EventSimulator::ScanAction::kContinue;
-        }
-        if (static_cast<int>(window_.size()) >= reorder_window_) {
-          ++stats_.window_backpressure;  // runnable work held back: full
-          return EventSimulator::ScanAction::kStop;
-        }
-        auto entry = std::make_unique<Entry>();
-        entry->sequence = view.sequence;
-        entry->worker_key = view.worker_key;
-        entry->time = view.time;
-        entry->compute = view.compute;
-        Submit(*entry);
-        window_.emplace(view.worker_key, std::move(entry));
-        ++stats_.computes_speculated;
-        ++admitted;
-        return EventSimulator::ScanAction::kContinue;
-      });
+        });
+  }
   if (admitted > 0 && window_.size() >= 2) ++stats_.parallel_batches;
-  if (adaptive_window_) MaybeAdaptWindow();
+  if (adaptive_window_) {
+    MaybeAdaptWindow();
+  } else if (auto_window_bound_ > 0) {
+    MaybeThrottleWindow();
+  }
+}
+
+void AsyncPipelineBackend::MaybeThrottleWindow() {
+  if (++adapt_dispatches_ < kAdaptPeriod) return;
+  adapt_dispatches_ = 0;
+  // Preemption of the simulator thread is the contention signal: the run's
+  // threads (and whatever else the host runs) outnumber the cores, so
+  // run-ahead evaluations compete with the commit stream instead of filling
+  // idle cores. The first step only takes the baseline.
+  const int64_t preemptions = CallingThreadPreemptions();
+  const bool preempted =
+      preemptions_seen_ >= 0 && preemptions > preemptions_seen_;
+  preemptions_seen_ = preemptions;
+  if (preempted) {
+    reorder_window_ /= 2;
+  } else if (reorder_window_ < auto_window_bound_) {
+    ++reorder_window_;
+  }
 }
 
 void AsyncPipelineBackend::MaybeAdaptWindow() {
   // Re-size at a coarse cadence so each decision sees a meaningful sample of
   // the straggler behaviour, not one noisy dispatch.
-  constexpr int64_t kAdaptPeriod = 64;
   if (++adapt_dispatches_ < kAdaptPeriod) return;
   adapt_dispatches_ = 0;
   const int64_t backpressure =
@@ -153,23 +243,27 @@ int64_t AsyncPipelineBackend::DrainCommits(EventSimulator& sim) {
           // resident evaluation before this event's inline compute can race
           // its scratch writes; its value stays usable because any commit
           // that writes the key must notify (invalidating it) anyway.
-          it->second->done.wait();
+          Settle(*it->second->job, /*compute=*/true);
           return false;
         }
         Entry& entry = *it->second;
+        if (entry.invalidated) {
+          ++stats_.computes_recomputed;  // defensive fallback
+          Settle(*entry.job, /*compute=*/false);
+          window_.erase(it);
+          return false;
+        }
         // The head of the window is the only compute the drain ever waits
         // for — later in-flight entries keep running while this commit (and
-        // everything it schedules) applies.
-        if (entry.done.wait_for(std::chrono::seconds(0)) !=
-            std::future_status::ready) {
+        // everything it schedules) applies. A head no pool thread has
+        // started yet is computed right here instead.
+        if (entry.job->state.load(std::memory_order_acquire) != Job::kDone) {
           ++stats_.window_stalls;
         }
-        entry.done.wait();
-        const bool provided = !entry.invalidated;
-        if (!provided) ++stats_.computes_recomputed;  // defensive fallback
-        if (provided) *value = entry.value;
+        Settle(*entry.job, /*compute=*/true);
+        *value = entry.job->value;
         window_.erase(it);
-        return provided;
+        return true;
       };
   const bool stepped = sim.StepWith(provider);
   // Handlers queue invalidated keys; re-dispatch them now that the handler's
@@ -183,10 +277,10 @@ void AsyncPipelineBackend::OnStateWrite(EventSimulator& /*sim*/,
   const auto it = window_.find(worker_key);
   if (it == window_.end() || it->second->invalidated) return;
   // A window-resident evaluation may still be RUNNING when a handler writes
-  // its state: finish it before the caller's write can race its reads, then
-  // discard the stale value by queueing a re-dispatch (flushed after the
-  // handler returns).
-  it->second->done.wait();
+  // its state: finish it before the caller's write can race its reads (or
+  // cancel it if no thread has started it), then discard the stale value by
+  // queueing a re-dispatch (flushed after the handler returns).
+  Settle(*it->second->job, /*compute=*/false);
   it->second->invalidated = true;
   pending_redispatch_keys_.push_back(worker_key);
 }
@@ -218,10 +312,10 @@ void AsyncPipelineBackend::OnIdle(EventSimulator& /*sim*/) {
 }
 
 void AsyncPipelineBackend::OnHalt(EventSimulator& /*sim*/) {
-  // Wait out every window-resident evaluation (their pooled tasks write into
-  // the Entry objects being destroyed here), then discard the window. None of
-  // it was committed, so the halted result is untouched.
-  for (auto& [key, entry] : window_) entry->done.wait();
+  // Cancel or wait out every window-resident evaluation (a running one reads
+  // the Entry being destroyed here), then discard the window. None of it was
+  // committed, so the halted result is untouched.
+  for (auto& [key, entry] : window_) Settle(*entry->job, /*compute=*/false);
   window_.clear();
   pending_redispatch_keys_.clear();
 }

@@ -161,9 +161,7 @@ TEST_P(CheckpointRoundTrip, CheckpointsAreBackendPortable) {
 // under a different pooled config (two threads, window 1) and back under
 // serial. The checkpoint fingerprint covers the simulation config only —
 // backend, threads and window are real-machine choices — so both restores
-// must accept the bytes and finish on the reference's bits. (The name dates
-// from when the writer was the speculative backend and the first reader the
-// process backend; the async pipeline now stands in for both.)
+// must accept the bytes and finish on the reference's bits.
 TEST_P(CheckpointRoundTrip, SpeculativeCheckpointRestoresUnderProcessBackend) {
   const ExperimentConfig base = BaseConfig();
   const RunResult reference = MustRun(GetParam(), base);

@@ -4,12 +4,14 @@
 // results bit-identical to serial dispatch. The async pipeline additionally
 // gets adversarial scripted-latency coverage: compute halves that finish
 // far out of dispatch order, a window too small for the pending work
-// (backpressure), and invalidation of window-resident entries mid-flight.
+// (backpressure), invalidation of window-resident entries mid-flight, and
+// entries no pool thread has started (computed by the drain or cancelled).
 
 #include "core/execution_backend.h"
 
 #include <chrono>
 #include <functional>
+#include <future>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -283,6 +285,51 @@ TEST(AsyncPipelineBackendTest, DoubleInvalidationStaysOrdered) {
   sim.RunUntilIdle();
   EXPECT_DOUBLE_EQ(d_saw, 20.0);
   EXPECT_EQ(backend.stats().computes_redispatched, 2);
+  EXPECT_EQ(backend.stats().computes_recomputed, 0);
+}
+
+TEST(AsyncPipelineBackendTest, DrainComputesOrCancelsUnstartedEntries) {
+  // The pool's only thread is held busy for the whole run, so no window
+  // entry ever starts off-thread: the drain must compute each head itself,
+  // and A's invalidation of B must cancel B's unstarted evaluation instead
+  // of waiting for it — B's state is read once, after A's write.
+  ThreadPool pool(1);
+  std::promise<void> release;
+  pool.Submit([released = release.get_future().share()] { released.wait(); });
+  AsyncPipelineBackend backend(&pool, /*reorder_window=*/4);
+  EventSimulator sim;
+  sim.set_backend(&backend);
+  const std::thread::id simulator_thread = std::this_thread::get_id();
+  bool all_on_simulator_thread = true;
+  double b_state = 1.0;
+  std::vector<double> b_reads;
+  sim.ScheduleCompute(
+      1.0, /*worker_key=*/0,
+      [&] {
+        all_on_simulator_thread &=
+            std::this_thread::get_id() == simulator_thread;
+        return 0.0;
+      },
+      [&](double) {
+        sim.NotifyStateWrite(1);
+        b_state = 100.0;
+      });
+  sim.ScheduleCompute(
+      2.0, /*worker_key=*/1,
+      [&] {
+        all_on_simulator_thread &=
+            std::this_thread::get_id() == simulator_thread;
+        b_reads.push_back(b_state);
+        return b_state;
+      },
+      [](double) {});
+  sim.RunUntilIdle();
+  release.set_value();
+  pool.Wait();  // the stale pooled tasks find their jobs settled
+  EXPECT_TRUE(all_on_simulator_thread);
+  EXPECT_EQ(b_reads, (std::vector<double>{100.0}));
+  EXPECT_EQ(backend.stats().computes_speculated, 2);
+  EXPECT_EQ(backend.stats().computes_redispatched, 1);
   EXPECT_EQ(backend.stats().computes_recomputed, 0);
 }
 
